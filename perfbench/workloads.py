@@ -9,9 +9,10 @@ workload's metrics under their own names together with the sample counts
 and tail percentiles behind them.
 
 Untraced runs measure the end-to-end metrics.  A traced run alternates
-untraced and traced operations (serve-zipf: an untraced copy of the low
-step, then the traced ladder) and records spans over the traced ones; the
-difference between the two medians is the tracing overhead.
+untraced and traced operations (serve-zipf: the untraced closed loop, then
+the traced open-loop ladder and a traced closed loop) and records spans
+over the traced ones; the difference between the two medians is the
+tracing overhead.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import inputs
 import measure
+from repro.fuzz.oracle import strip_seconds
 from spec import EXCLUDED_POINTS, PER_LAYER
 from tracer import Tracer
 
@@ -66,20 +68,6 @@ class Outcome:
 
 
 # -- shared checks --------------------------------------------------------
-
-
-def strip_seconds(summary: dict | None) -> dict | None:
-    """A ``ResultSummary`` dict without its wall-clock fields."""
-    if summary is None:
-        return None
-    return {
-        section: (
-            {k: v for k, v in value.items() if not k.endswith("_seconds")}
-            if isinstance(value, dict)
-            else value
-        )
-        for section, value in summary.items()
-    }
 
 
 def summary_of(result) -> dict:

@@ -33,21 +33,7 @@ PNR_POINTS = (
 TABLE3_DUPLICATION = 64
 
 SERVE_DUPLICATIONS = tuple(range(1, 65))
-#: request share of each model.  Served latency is multi-modal by model
-#: (about 4 ms for MLP-500-100 up to 65 ms for ResNet152 on 2 cores); these
-#: shares put the median inside one mode (AlexNet) and a 100-request
-#: window's p90 inside another (ResNet152) instead of in the gap between
-#: two modes, where the percentile swung by 40% from seed to seed.
-SERVE_MODEL_WEIGHTS = {
-    "MLP-500-100": 1,
-    "LeNet": 1,
-    "CIFAR-VGG17": 2,
-    "AlexNet": 6,
-    "VGG16": 1,
-    "GoogLeNet": 1,
-    "ResNet152": 3,
-}
-#: Zipf exponent of the duplication degree's popularity within a model.
+#: Zipf exponent of the keys' popularity.
 SERVE_ZIPF_S = 1.0
 
 SWEEP_DUPLICATIONS = (1, 2, 4, 8, 16, 32, 64)
@@ -76,39 +62,31 @@ def serve_keys() -> list[tuple[str, int]]:
     return [(m, d) for m in TABLE3_MODELS for d in SERVE_DUPLICATIONS]
 
 
-def serve_popularity() -> dict[str, list[int]]:
-    """Per model, duplication degrees from most to least popular.
+def serve_popularity() -> list[tuple[str, int]]:
+    """Every serve key, from most to least popular.
 
     The order is part of the workload's definition, not of its seed: every
     seed draws from the same key distribution, so a held-out seed changes
     the request sequence without changing which keys are hot.
     """
-    rng = _rng(0, "serve-popularity")
-    ranking = {}
-    for model in TABLE3_MODELS:
-        order = list(SERVE_DUPLICATIONS)
-        rng.shuffle(order)
-        ranking[model] = order
+    ranking = serve_keys()
+    _rng(0, "serve-popularity").shuffle(ranking)
     return ranking
 
 
 def serve_step(seed: int, step: int, rate: float, count: int) -> list[tuple[float, str, int]]:
     """Requests of one ladder step: ``(due offset s, model, duplication)``.
 
-    Arrivals are Poisson at ``rate``; the model is drawn with the fixed
-    ``SERVE_MODEL_WEIGHTS`` and the duplication degree Zipf-distributed
-    over that model's popularity order.
+    Arrivals are Poisson at ``rate``; keys are Zipf-distributed over the
+    fixed popularity order of all 448 keys.
     """
     ranking = serve_popularity()
-    weights = [1.0 / (rank + 1) ** SERVE_ZIPF_S for rank in range(len(SERVE_DUPLICATIONS))]
-    models = list(SERVE_MODEL_WEIGHTS)
-    shares = list(SERVE_MODEL_WEIGHTS.values())
+    weights = [1.0 / (rank + 1) ** SERVE_ZIPF_S for rank in range(len(ranking))]
     rng = _rng(seed, f"serve-step-{step}")
+    keys = rng.choices(ranking, weights=weights, k=count)
     due, requests = 0.0, []
-    for _ in range(count):
+    for model, duplication in keys:
         due += rng.expovariate(rate)
-        (model,) = rng.choices(models, weights=shares)
-        (duplication,) = rng.choices(ranking[model], weights=weights)
         requests.append((due, model, duplication))
     return requests
 

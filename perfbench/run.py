@@ -7,7 +7,7 @@ Run from the repository root::
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` records spans
 around each layer's public functions and reports the per-layer metrics
-(``perfbench/spec.py`` defines both).  Inputs come from ``--seed``.  Every
+(``BENCHMARK.json`` lists both, ``perfbench/spec.py`` defines them).  Inputs come from ``--seed``.  Every
 output is checked; the last line of standard output is one JSON object
 with ``correct``, ``attempted``, ``failed`` and ``metrics``, and the exit
 code is 1 when a check failed.  The line before it is the full report,
@@ -54,7 +54,7 @@ def _isolate_environment() -> None:
 def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     import measure
     import workloads
-    from spec import END_TO_END, PER_LAYER
+    from spec import END_TO_END, PER_LAYER, UNITS
     from tracer import Tracer
 
     scratch = OUT / "tmp"
@@ -82,9 +82,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     outcome.e2e["success_rate"] = 1.0 - outcome.failed / max(1, outcome.attempted)
     wanted = PER_LAYER if trace else END_TO_END
     values = outcome.layer if trace else outcome.e2e
-    metrics = {
-        name: {"value": float(values[name]), "unit": wanted[name][0]} for name in wanted
-    }
+    metrics = {name: {"value": float(values[name]), "unit": UNITS[name]} for name in wanted}
     bad = [n for n, m in metrics.items() if not math.isfinite(m["value"])]
     for name in bad:
         outcome.fail(f"metric {name} is not finite")

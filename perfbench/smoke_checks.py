@@ -33,7 +33,7 @@ import spec  # noqa: E402
 import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+BENCHMARK = spec.BENCHMARK
 
 
 @pytest.fixture
@@ -54,24 +54,17 @@ def tiny(monkeypatch):
     monkeypatch.setenv("TMPDIR", str(run.OUT / "tmp"))
 
 
-def test_benchmark_json_matches_spec():
-    assert {w["name"] for w in BENCHMARK["workloads"]} == set(spec.WORKLOADS)
-    assert BENCHMARK["paths"] == ["perfbench"]
-    end_to_end = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in BENCHMARK["end_to_end"]}
-    assert end_to_end == {n: v[:3] for n, v in spec.END_TO_END.items()}
-    per_layer = {m["name"]: (m["unit"], m["better"]) for m in BENCHMARK["per_layer"]}
-    assert per_layer == {n: v[:2] for n, v in spec.PER_LAYER.items()}
-    assert spec.END_TO_END["setup_s"][2] == max(v[2] for v in spec.END_TO_END.values())
-
-
-def test_every_per_layer_metric_maps_to_an_end_to_end_metric():
-    layer_names = set(spec.PER_LAYER)
-    for name, (_, _, workload, moves, flat_on) in spec.PER_LAYER.items():
-        assert moves in spec.END_TO_END or moves in layer_names, name
+def test_every_metric_is_defined_and_mapped():
+    assert set(spec.DEFINITIONS) == set(spec.END_TO_END)
+    assert set(spec.LAYERS) == set(spec.PER_LAYER)
+    bounds = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+    assert bounds["setup_s"] == max(bounds.values())
+    for name, (workload, moves, flat_on) in spec.LAYERS.items():
+        assert moves in spec.END_TO_END or moves in spec.LAYERS, name
         assert workload is None or workload in spec.WORKLOADS, name
         assert set(flat_on) <= set(spec.WORKLOADS) - {workload}, name
     for name, (workload, moves) in spec.ALSO_MOVES.items():
-        assert name in layer_names and workload in spec.WORKLOADS and moves in spec.END_TO_END
+        assert name in spec.LAYERS and workload in spec.WORKLOADS and moves in spec.END_TO_END
 
 
 @pytest.mark.parametrize("workload", sorted(spec.WORKLOADS))

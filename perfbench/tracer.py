@@ -96,7 +96,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._next_id = 0
         self._saved: list[tuple[object, str, object]] = []
-        self._request_id: str | None = None
 
     # -- recording -------------------------------------------------------
 
@@ -122,7 +121,7 @@ class Tracer:
             start_ns=time.monotonic_ns(),
             end_ns=0,
             parent_id=parent.span_id if parent else None,
-            request_id=self._request_id,
+            request_id=getattr(self._local, "request_id", None),
             thread_id=threading.get_ident(),
         )
         stack.append(span)
@@ -138,12 +137,13 @@ class Tracer:
 
     @contextmanager
     def request(self, request_id: str):
-        """Tag the spans opened inside the block with ``request_id``."""
-        previous, self._request_id = self._request_id, request_id
+        """Tag the spans this thread opens inside the block with ``request_id``."""
+        previous = getattr(self._local, "request_id", None)
+        self._local.request_id = request_id
         try:
             yield
         finally:
-            self._request_id = previous
+            self._local.request_id = previous
 
     def _wrap(self, func, name: str):
         tracer = self

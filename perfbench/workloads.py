@@ -9,10 +9,10 @@ workload's metrics under their own names together with the sample counts
 and tail percentiles behind them.
 
 Untraced runs measure the end-to-end metrics.  A traced run alternates
-untraced and traced operations (serve-zipf: the untraced closed loop, then
-the traced open-loop ladder and a traced closed loop) and records spans
-over the traced ones; the difference between the two medians is the
-tracing overhead.
+untraced and traced operations (table3-pnr passes, serve-zipf closed-loop
+windows, dse-sweep batches) and records spans over the traced ones; the
+difference between the two medians is the tracing overhead.  serve-zipf's
+traced run then offers the traced open-loop ladder.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import gc
 import math
 import pickle
 import shutil
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -281,13 +282,14 @@ def table3_pnr(run: Run) -> Outcome:
 
 # -- serve-zipf -----------------------------------------------------------
 
-#: the timed part of every run: a closed loop keeping SERVE_CONCURRENCY
-#: requests in flight, cut into windows of SERVE_WINDOW requests; the run
-#: reports the median window's p50, tail and requests per second.  (An
-#: open-loop low-rate p50 swung from 13 to 25 ms between runs on the
-#: shared 2-core host; the closed loop is bound by throughput, not by
-#: wake-up latency, and held steadier.)
-SERVE_CONCURRENCY = 8
+#: the timed part of every run: SERVE_CLIENTS client threads in a closed
+#: loop, each sending its next request when its previous one finished,
+#: cut into windows of SERVE_WINDOW requests; the run reports the median
+#: over every timed request, the median window's tail and the requests
+#: per second over all windows.  (An open-loop low-rate p50 swung from 13
+#: to 25 ms between runs on the shared 2-core host; the closed loop is
+#: bound by throughput, not by wake-up latency, and held steadier.)
+SERVE_CLIENTS = 8
 SERVE_WINDOW = 150
 SERVE_MIN_WINDOWS = 3
 #: closed-loop requests served in set-up, so both workers' memory tiers
@@ -349,7 +351,11 @@ def _serve_step(run: Run, runtime, stream: int, rate: float, count: int, tag: st
         if isinstance(job, Exception):
             record["error"] = f"refused: {type(job).__name__}: {job}"
             continue
-        response = runtime.result(job, timeout=120)
+        try:
+            response = runtime.result(job, timeout=120)
+        except Exception as exc:  # noqa: BLE001 - an expired request is a failed attempt
+            record["error"] = f"{type(exc).__name__}: {exc}"
+            continue
         record["latency_s"] = record["late_s"] + manager.status(job).seconds
         record["response"] = response
         if not response.ok:
@@ -396,47 +402,49 @@ def _climb(run: Run, runtime, steps: list[dict]) -> float:
     return good
 
 
-def _serve_closed_loop(run: Run, runtime, stream: int, count: int, concurrency: int):
-    """Serve ``count`` requests keeping ``concurrency`` in flight, each
-    replaced when the oldest finishes; returns (requests per second,
-    records with their submit-to-finish latency)."""
+def _serve_closed_loop(run: Run, runtime, stream: int, count: int, clients: int):
+    """Serve ``count`` requests from ``clients`` threads, each sending its
+    next request as soon as its previous one finished; returns (seconds,
+    records with their submit-to-finish latency or their error)."""
     plan = inputs.serve_step(run.seed, stream, 1.0, count)
-    records, inflight = [], []
+    records = [{"key": (model, duplication)} for _, model, duplication in plan]
+    indices = iter(range(count))
+    lock = threading.Lock()
 
-    def finish(record, job):
-        record["response"] = runtime.result(job, timeout=120)
-        record["latency_s"] = runtime.manager.status(job).seconds
+    def client():
+        while True:
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                return
+            record = records[index]
+            with run.request(f"closed-{stream}-{index}"):
+                try:
+                    job = runtime.submit(_request(*record["key"]))
+                    record["response"] = runtime.result(job, timeout=120)
+                    record["latency_s"] = runtime.manager.status(job).seconds
+                except Exception as exc:  # noqa: BLE001 - a refused or expired request is a failed attempt
+                    record["error"] = f"{type(exc).__name__}: {exc}"
 
+    threads = [threading.Thread(target=client) for _ in range(clients)]
     started = time.perf_counter()
-    for index, (_, model, duplication) in enumerate(plan):
-        if len(inflight) == concurrency:
-            finish(*inflight.pop(0))
-        with run.request(f"closed-{stream}-{index}"):
-            record = {"key": (model, duplication)}
-            inflight.append((record, runtime.submit(_request(model, duplication))))
-        records.append(record)
-    for record, job in inflight:
-        finish(record, job)
-    return count / (time.perf_counter() - started), records
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return time.perf_counter() - started, records
 
 
-def _closed_windows(run: Run, runtime, first_stream: int) -> list[dict]:
-    """Closed-loop windows until the run's seconds are spent."""
-    windows, spent = [], 0.0
-    while spent < run.seconds or len(windows) < SERVE_MIN_WINDOWS:
-        stream = first_stream - len(windows)
-        rate, records = _serve_closed_loop(run, runtime, stream, SERVE_WINDOW, SERVE_CONCURRENCY)
-        latencies = [r["latency_s"] * 1e3 for r in records]
-        windows.append(
-            {
-                "rate": rate,
-                "p50_ms": measure.median(latencies),
-                "tail": measure.tail(latencies),
-                "records": records,
-            }
-        )
-        spent += SERVE_WINDOW / rate
-    return windows
+def _closed_window(run: Run, runtime, stream: int) -> dict:
+    seconds, records = _serve_closed_loop(run, runtime, stream, SERVE_WINDOW, SERVE_CLIENTS)
+    latencies = [r["latency_s"] * 1e3 for r in records if "latency_s" in r]
+    return {
+        "seconds": seconds,
+        "latencies": latencies,
+        "p50_ms": measure.median(latencies) if latencies else math.inf,
+        "tail": measure.tail(latencies) if latencies else {"value": math.inf},
+        "records": records,
+    }
 
 
 def serve_zipf(run: Run) -> Outcome:
@@ -449,7 +457,7 @@ def serve_zipf(run: Run) -> Outcome:
     cache_dir = run.scratch / "serve-shared-cache"
     shutil.rmtree(cache_dir, ignore_errors=True)
     cache_dir.mkdir(parents=True)
-    steps, traced = [], []
+    steps, windows, traced = [], [], []
     started = time.perf_counter()
     runtime = ServingRuntime(max_workers=2, shared_cache_dir=str(cache_dir))
     try:
@@ -462,15 +470,20 @@ def serve_zipf(run: Run) -> Outcome:
             {"key": key, "response": response}
             for key, response in zip(warm_keys, warm, strict=True)
         ]
-        records += _serve_closed_loop(run, runtime, -1, SERVE_PREROLL, 4)[1]
+        records += _serve_closed_loop(run, runtime, -1, SERVE_PREROLL, SERVE_CLIENTS)[1]
         setup_s = cold + time.perf_counter() - started
-        windows = _closed_windows(run, runtime, -10)
+        spent = 0.0
+        while spent < run.seconds or len(windows) < SERVE_MIN_WINDOWS:
+            tracing = run.trace and len(windows) > len(traced)
+            with run.recording(tracing):
+                window = _closed_window(run, runtime, -10 - len(windows) - len(traced))
+            (traced if tracing else windows).append(window)
+            spent += window["seconds"]
         if run.trace:
             before = dict(vars(runtime.manager.stats))
             with run.recording():
                 low = _offer(run, runtime, steps, SERVE_LOW_RATE, SERVE_LOW_REQUESTS)
                 max_rate = _climb(run, runtime, steps) if low["sustained"] else 0.0
-                traced = _closed_windows(run, runtime, -100)
             after = dict(vars(runtime.manager.stats))
     finally:
         runtime.close()
@@ -501,25 +514,28 @@ def serve_zipf(run: Run) -> Outcome:
     error = table3_error(
         {m: references[(m, inputs.TABLE3_DUPLICATION)]["performance"] for m in inputs.TABLE3_MODELS}
     )
-    p50 = measure.median([w["p50_ms"] for w in windows])
+    latencies = [ms for w in windows for ms in w["latencies"]]
+    served = len(latencies)
+    p50 = measure.median(latencies) if latencies else math.inf
     outcome.e2e = {
         "latency_ms.p50": p50,
         "latency_ms.tail": measure.median([w["tail"]["value"] for w in windows]),
-        "throughput_per_s": measure.median([w["rate"] for w in windows]),
+        "throughput_per_s": served / sum(w["seconds"] for w in windows),
         "setup_s": setup_s,
         "table3_error": error,
     }
     outcome.report = {
-        "latency_ms.p50.closed": {"value": p50, "unit": "ms"},
+        "latency_ms.p50.closed": {"value": p50, "unit": "ms", "samples": served},
         "latency_ms.tail.closed": {
             "value": outcome.e2e["latency_ms.tail"],
             "unit": "ms",
-            "percentile": windows[0]["tail"]["percentile"],
+            "percentile": windows[0]["tail"].get("percentile"),
             "samples": f"{len(windows)} windows x {SERVE_WINDOW}",
         },
         "capacity_rps": {"value": outcome.e2e["throughput_per_s"], "unit": "req/s"},
         "table3_error": {"value": error, "unit": "ratio"},
-        "window_rates": [w["rate"] for w in windows],
+        "window_seconds": [w["seconds"] for w in windows],
+        "window_p50_ms": [w["p50_ms"] for w in windows],
         "distinct_keys_served": len(keys),
     }
     if run.trace:
@@ -533,11 +549,14 @@ def serve_zipf(run: Run) -> Outcome:
                 "latency_ms.tail.high": {**high["tail"], "unit": "ms", "rate": high["rate"]},
                 "max_rate_rps": {"value": max_rate, "unit": "req/s"},
                 "steps": [{k: v for k, v in s.items() if k != "records"} for s in steps],
+                "traced_window_p50_ms": [w["p50_ms"] for w in traced],
             }
         )
         values = _serve_layers(ladder_records, low, high, before, after)
         values["service.max_rate_rps"] = max_rate
-        values["trace.overhead_ms"] = measure.median([w["p50_ms"] for w in traced]) - p50
+        values["trace.overhead_ms"] = measure.median(
+            [w["p50_ms"] for w in traced]
+        ) - measure.median([w["p50_ms"] for w in windows])
         outcome.layer = layer_metrics(run, len(ladder_records), values)
     return outcome
 

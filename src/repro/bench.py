@@ -65,7 +65,6 @@ from .core.dedup import DEDUP_STORE_ENV
 from .core.shared_cache import SHARED_CACHE_ENV
 from .errors import InvalidRequestError
 from .models.zoo import BENCHMARK_MODELS, MODEL_BUILDERS
-from .pnr.options import PnROptions
 from .pnr.pnr import PlaceAndRoute
 from .seeding import derive_seed
 from .service import CompileRequest, FPSAClient, JobManager, ServingRuntime
@@ -196,10 +195,7 @@ class BenchEntry:
     #: routed-solution quality: equal-or-better is the bar optimizations
     #: must clear.
     quality: dict[str, float] = field(default_factory=dict)
-    #: worker threads the parallel P&R engine ran with (``None`` = the
-    #: engine default; absent from reports written before the engine).
-    pnr_jobs: int | None = None
-    #: in-run engine-ratio reference: best-of-2 place+route seconds of the
+    #: in-run engine-ratio reference: best-of-3 place+route seconds of the
     #: serial reference engine and of the parallel engine on this entry's
     #: netlist(s), measured interleaved on the same machine so the ratio
     #: needs no cross-machine allowance.  ``None`` in pre-engine reports.
@@ -244,9 +240,7 @@ class BenchEntry:
             quality=dict(data.get("quality") or {}),
             # engine-ratio fields arrived with the parallel engine: reports
             # written before it simply lack them, which must keep parsing
-            pnr_jobs=(
-                int(data["pnr_jobs"]) if data.get("pnr_jobs") is not None else None
-            ),
+            # (and the removed ``pnr_jobs`` key of older reports is ignored)
             serial_place_route_seconds=(
                 float(data["serial_place_route_seconds"])
                 if data.get("serial_place_route_seconds") is not None
@@ -342,12 +336,12 @@ class BenchReport:
             return cls.from_dict(json.load(handle))
 
 
-def _place_route_seconds(netlist, channel_width: int, seed: int, options) -> float:
-    """Place+route wall-time of one netlist under the given engine options
-    (the rrgraph-build and timing-analysis stages are excluded: both are
+def _place_route_seconds(netlist, channel_width: int, seed: int, engine: str) -> float:
+    """Place+route wall-time of one netlist on the given engine (the
+    rrgraph-build and timing-analysis stages are excluded: both are
     engine-independent)."""
     result = PlaceAndRoute(
-        channel_width=channel_width, seed=seed, options=options
+        channel_width=channel_width, seed=seed, engine=engine
     ).run(netlist)
     return result.stage_seconds["place"] + result.stage_seconds["route"]
 
@@ -356,7 +350,6 @@ def _measure_engine_ratio(
     netlists,
     channel_width: int,
     seed: int,
-    pnr_jobs: int | None,
     samples: int = 3,
 ) -> tuple[float, float] | tuple[None, None]:
     """Best-of-``samples`` place+route seconds of the serial reference
@@ -372,8 +365,6 @@ def _measure_engine_ratio(
     qualifying = [n for n in netlists if len(n.blocks) >= PNR_SPEEDUP_MIN_BLOCKS]
     if not qualifying:
         return None, None
-    parallel_options = PnROptions(jobs=pnr_jobs)
-    serial_options = PnROptions(engine="serial")
     serial_total = 0.0
     parallel_total = 0.0
     for netlist in qualifying:
@@ -381,10 +372,10 @@ def _measure_engine_ratio(
         serial_samples: list[float] = []
         for _ in range(max(1, samples)):
             parallel_samples.append(
-                _place_route_seconds(netlist, channel_width, seed, parallel_options)
+                _place_route_seconds(netlist, channel_width, seed, "parallel")
             )
             serial_samples.append(
-                _place_route_seconds(netlist, channel_width, seed, serial_options)
+                _place_route_seconds(netlist, channel_width, seed, "serial")
             )
         parallel_total += min(parallel_samples)
         serial_total += min(serial_samples)
@@ -397,7 +388,6 @@ def _bench_one(
     channel_width: int,
     seed: int,
     num_chips: int = 1,
-    pnr_jobs: int | None = None,
 ) -> BenchEntry:
     """Benchmark one configuration: a cold and a warm compile through a
     private stage cache, plus the interleaved serial-vs-parallel engine
@@ -410,7 +400,6 @@ def _bench_one(
         pnr_channel_width=channel_width,
         seed=seed,
         num_chips=num_chips if num_chips != 1 else None,
-        pnr_jobs=pnr_jobs,
     )
     cold = client.serve(request)
     cold.response.raise_for_status()
@@ -471,7 +460,7 @@ def _bench_one(
     serial_reference = parallel_reference = None
     if netlists:
         serial_reference, parallel_reference = _measure_engine_ratio(
-            netlists, channel_width, derive_seed(seed, "pnr"), pnr_jobs
+            netlists, channel_width, derive_seed(seed, "pnr")
         )
     return BenchEntry(
         model=model,
@@ -488,7 +477,6 @@ def _bench_one(
         cache_misses=timings.cache_misses,
         warm_cache_hits=warm_timings.cache_hits,
         quality=quality,
-        pnr_jobs=pnr_jobs,
         serial_place_route_seconds=serial_reference,
         parallel_place_route_seconds=parallel_reference,
     )
@@ -506,7 +494,6 @@ def run_bench(
     channel_width: int = 24,
     seed: int = 0,
     partition_chips: Sequence[int] = (2, 4),
-    pnr_jobs: int | None = None,
     progress=None,
 ) -> BenchReport:
     """Benchmark the full pipeline (with P&R) over the given models.
@@ -514,9 +501,9 @@ def run_bench(
     Every model is compiled twice through a private stage cache: cold
     (every pass runs, timed per stage) and warm (the identical request
     again, recording how much of the pipeline the cache absorbs).  Each
-    entry additionally records the interleaved best-of-2 place+route
-    seconds of the serial reference engine and the parallel engine
-    (``pnr_jobs`` workers) on the compiled netlist(s) — the same-machine
+    entry additionally records the interleaved best-of-3 place+route
+    seconds of the serial reference engine and the parallel engine on
+    the compiled netlist(s) — the same-machine
     ratio behind the ``--check-regression`` parallel-speedup floor.
 
     ``partition_chips`` additionally benchmarks the *largest* resolved
@@ -529,9 +516,7 @@ def run_bench(
         if progress is not None:
             progress(f"bench {model} (duplication {duplication_degree}) ...")
         report.entries.append(
-            _bench_one(
-                model, duplication_degree, channel_width, seed, pnr_jobs=pnr_jobs
-            )
+            _bench_one(model, duplication_degree, channel_width, seed)
         )
     if partition_chips:
         largest = _largest_model(resolved)
@@ -550,7 +535,6 @@ def run_bench(
                     channel_width,
                     seed,
                     num_chips=chips,
-                    pnr_jobs=pnr_jobs,
                 )
             )
     return report
@@ -1414,11 +1398,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=0, help="master seed for the compiles",
     )
     parser.add_argument(
-        "--pnr-jobs", type=int, default=None, metavar="N",
-        help="worker threads for the parallel P&R engine (default: the "
-        "engine default; results are bit-identical for any value)",
-    )
-    parser.add_argument(
         "--pnr-min-speedup", type=float, default=3.0, metavar="X",
         help="--check-regression fails when the parallel engine's aggregate "
         "place+route speedup over the in-run serial reference falls below "
@@ -1684,7 +1663,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             channel_width=args.channel_width,
             seed=args.seed,
             partition_chips=partition_chips,
-            pnr_jobs=getattr(args, "pnr_jobs", None),
             progress=progress,
         )
         if previous is not None and previous.serve is not None:

@@ -182,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run placement & routing on the function-block netlist (small models)",
     )
     deploy.add_argument(
-        "--pnr-jobs", type=_positive_int, default=None, metavar="N",
-        help="worker threads for the parallel P&R engine (results are "
-        "bit-identical for any value; default 1)",
-    )
-    deploy.add_argument(
         "--bitstream", metavar="FILE", default=None,
         help="write the chip configuration as JSON to FILE ('-' for stdout)",
     )
@@ -385,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="delta-debug every failing spec to a minimal reproducer",
     )
     fuzz.add_argument(
-        "--pnr-jobs", type=_positive_int, default=4, metavar="N",
-        help="parallel P&R worker count the jobs-invariance lattice point "
-        "compares against jobs=1 (default: 4)",
-    )
-    fuzz.add_argument(
         "--json", metavar="FILE", default=None,
         help="write the campaign report as JSON to FILE ('-' for stdout)",
     )
@@ -454,7 +444,6 @@ def _command_deploy(args: argparse.Namespace) -> int:
         emit_bitstream=args.bitstream is not None,
         num_chips=args.chips,
         shard_jobs=args.chip_jobs,
-        pnr_jobs=args.pnr_jobs,
         passes=tuple(args.passes) if args.passes is not None else None,
         verify=args.verify,
         dedup=_dedup_enabled(args),
@@ -834,7 +823,6 @@ def _command_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         size_class=args.size_class,
         shrink_failures=args.shrink,
-        pnr_jobs=args.pnr_jobs,
         log=lambda msg: print(msg, file=progress),
     )
     if args.json is not None:

@@ -103,7 +103,6 @@ class FPSACompiler:
         max_schedule_reuse: int | None = None,
         pnr_channel_width: int | None = None,
         pnr_seed: int = 0,
-        pnr_jobs: int | None = None,
         seed: int | None = None,
         num_chips: int | str | None = None,
         shard_jobs: int | None = None,
@@ -161,11 +160,6 @@ class FPSACompiler:
             (``None``/``1`` = sequential, sharing this compiler's stage
             cache across the shards; ``> 1`` spreads shards over a process
             pool with per-worker caches).
-        pnr_jobs:
-            Worker threads for the parallel P&R engine (``None``/``1`` =
-            serial execution).  A pure execution knob: any value yields
-            bit-identical placements and routings for the same seed, so it
-            participates in neither cache keys nor request fingerprints.
         passes:
             Explicit pass-name list to run instead of the default pipeline,
             e.g. ``("synthesis", "mapping")`` for a front-end-only compile.
@@ -189,7 +183,7 @@ class FPSACompiler:
             repeated structures — within one model or across models
             sharing the store — are compiled once and the stored
             fragments spliced back in.  Bit-identical to ``dedup=False``
-            by contract, so (like ``pnr_jobs``) it is a pure execution
+            by contract, so (like ``verify``) it is a pure execution
             knob that enters neither cache keys nor request
             fingerprints.  Hit/miss counters land on the result's
             ``cache_stats`` (``dedup_hits`` / ``dedup_misses``).
@@ -224,7 +218,6 @@ class FPSACompiler:
             max_schedule_reuse=max_schedule_reuse,
             pnr_channel_width=pnr_channel_width,
             pnr_seed=pnr_seed,
-            pnr_jobs=pnr_jobs,
             seed=seed,
             num_chips=num_chips,
             shard_jobs=shard_jobs,

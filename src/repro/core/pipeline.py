@@ -104,11 +104,6 @@ class CompileOptions:
     max_schedule_reuse: int | None = None
     pnr_channel_width: int | None = None
     pnr_seed: int = 0
-    #: worker threads for the parallel P&R engine (``None``/``1`` serial
-    #: execution).  A pure execution knob: any value produces bit-identical
-    #: placements/routings for the same seed, so it never enters cache keys
-    #: or request fingerprints.
-    pnr_jobs: int | None = None
     seed: int | None = None
     #: multi-chip partitioning: ``None`` is the classic single-chip flow
     #: (no capacity enforcement), an ``int >= 1`` partitions across exactly
@@ -170,15 +165,6 @@ class CompileOptions:
             raise InvalidRequestError(
                 f"shard_jobs must be an integer >= 1, got {self.shard_jobs!r}",
                 details={"shard_jobs": repr(self.shard_jobs)},
-            )
-        if self.pnr_jobs is not None and (
-            not isinstance(self.pnr_jobs, int)
-            or isinstance(self.pnr_jobs, bool)
-            or self.pnr_jobs < 1
-        ):
-            raise InvalidRequestError(
-                f"pnr_jobs must be an integer >= 1, got {self.pnr_jobs!r}",
-                details={"pnr_jobs": repr(self.pnr_jobs)},
             )
 
     @property

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from ..core.cache import config_fingerprint, fingerprint, netlist_fingerprint
 from ..core.pipeline import CompileContext, CompilePass, register_pass
-from .options import PnROptions
 from .pnr import PlaceAndRoute
 
 __all__ = ["PnRPass"]
@@ -29,14 +28,11 @@ class PnRPass(CompilePass):
             ctx.config,
             channel_width=options.pnr_channel_width,
             seed=options.effective_pnr_seed(),
-            options=PnROptions(jobs=options.pnr_jobs),
         ).run(ctx.mapping.netlist)
 
     def cache_key(self, ctx: CompileContext) -> str:
         # keyed on the netlist artifact actually routed, so any mapping
         # producer (standard or custom) gets a correct cache entry.
-        # ``pnr_jobs`` is deliberately absent: it is an execution knob and
-        # every jobs value produces the bit-identical artifact.
         return fingerprint(
             _PNR_ARTIFACT_VERSION,
             netlist_fingerprint(ctx.mapping.netlist),

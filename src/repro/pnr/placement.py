@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from ..errors import CapacityError, InvalidRequestError, PnRError
 from ..mapper.netlist import BlockType, FunctionBlockNetlist, Net
 from .fabric import FabricGrid
-from .options import PnROptions
 
 __all__ = [
     "Placement",
@@ -39,6 +37,9 @@ __all__ = [
 #: nets with at least this many member blocks track their bounding box
 #: incrementally (boundary values + counts) instead of rescanning members.
 _BBOX_TRACK_THRESHOLD = 12
+
+#: proposed moves per movable block per temperature round, in both placers.
+_MOVES_PER_BLOCK = 10
 
 
 def _axis_move(old: int, new: int, mn: int, cmn: int, mx: int, cmx: int):
@@ -334,7 +335,7 @@ class SimulatedAnnealingPlacer:
 
     def __init__(
         self,
-        moves_per_block: int = 10,
+        moves_per_block: int = _MOVES_PER_BLOCK,
         cooling: float = 0.9,
         initial_acceptance: float = 0.5,
         min_temperature: float = 1e-3,
@@ -469,10 +470,9 @@ class SimulatedAnnealingPlacer:
 class RegionGrid:
     """Disjoint rectangular regions tiling the fabric's core sites.
 
-    The grid shape is a pure function of the fabric geometry (never of
-    the jobs count), so the region id of a move — the major key of the
-    deterministic merge order — is identical no matter how many workers
-    evaluate the batch.
+    The grid shape is a pure function of the fabric geometry, so the
+    region id of a move — the major key of the deterministic merge order —
+    depends on nothing but the fabric.
     """
 
     width: int
@@ -519,7 +519,6 @@ class PlacementStats:
     temperatures: list[tuple[float, int, int]] = field(default_factory=list)
     moves_proposed: int = 0
     moves_accepted: int = 0
-    replicas: int = 1
     final_cost: int = 0
     #: seconds spent inside the batched delta-cost evaluation
     place_delta_seconds: float = 0.0
@@ -536,7 +535,7 @@ class _NetGeometry:
     and incident net ids per block are flattened once into rectangular
     padded arrays (padding ``-1``), so a whole batch of delta costs is a
     handful of gathers and masked reductions instead of per-move Python
-    loops.  Shared by every replica; immutable.
+    loops.  Immutable.
     """
 
     def __init__(self, netlist: FunctionBlockNetlist):
@@ -587,7 +586,7 @@ class _NetGeometry:
     def net_costs(self, coords: np.ndarray) -> np.ndarray:
         """Per-net HPWL from scratch, one vectorized sweep.
 
-        ``coords`` is the replica's ``(2, blocks)`` coordinate array.
+        ``coords`` is the annealing state's ``(2, blocks)`` coordinate array.
         """
         if self.n_nets == 0:
             return np.zeros(0, dtype=np.int64)
@@ -613,8 +612,8 @@ class _NetGeometry:
         return (hi[0] - lo[0]) + (hi[1] - lo[1])
 
 
-class _ReplicaState:
-    """Mutable annealing state of one replica."""
+class _AnnealState:
+    """Mutable state of one annealing run."""
 
     __slots__ = (
         "rng", "coords", "xs", "ys", "occ", "net_costs", "total",
@@ -692,11 +691,9 @@ class ParallelAnnealingPlacer:
     reproducible too, and a serial replay of that sequence through
     :class:`PlacementCostModel` reaches the identical placement.
 
-    ``jobs`` only splits the delta evaluation of one batch across worker
-    threads (grouped by region) and, in tempering mode, runs replicas
-    concurrently; every random draw comes from per-replica generators
-    that never see the jobs value, so results are bit-identical for any
-    ``jobs``.
+    Batching is part of the algorithm, not of its execution: the batch
+    is evaluated in one vectorized pass on one thread, and every random
+    draw comes from one generator seeded by ``seed``.
     """
 
     #: exit temperature factor (VPR): stop when T < this * cost / nets.
@@ -709,8 +706,7 @@ class ParallelAnnealingPlacer:
     #: consecutive all-zero-delta rounds that count as frozen
     _FROZEN_ROUNDS = 5
 
-    def __init__(self, options: PnROptions | None = None, seed: int = 0):
-        self.options = options if options is not None else PnROptions()
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self.initial_acceptance = 0.5
         self.last_stats: PlacementStats | None = None
@@ -719,14 +715,12 @@ class ParallelAnnealingPlacer:
     def _batch(
         self,
         geometry: _NetGeometry,
-        state: _ReplicaState,
+        state: _AnnealState,
         fabric: FabricGrid,
         region_of_site: np.ndarray,
         temperature: float,
         rlim: int,
         batch: int,
-        pool: ThreadPoolExecutor | None,
-        use_jit: bool,
         collect_moves: bool = False,
     ) -> tuple[int, int, int, float, list[tuple[int, int, int, int]]]:
         """One batch: propose, arbitrate, evaluate survivors, apply.
@@ -827,41 +821,14 @@ class ParallelAnnealingPlacer:
         )
 
         t_delta = time.perf_counter()
-        new_cost = np.empty(pair_net.size, dtype=np.int64)
-        if use_jit:
-            from .kernels import batch_delta_kernel
-
-            delta = np.zeros(survivors.size, dtype=np.int64)
-            batch_delta_kernel(
-                pair_mv, pair_net, geometry.members_pad, xs, ys,
-                sb, ss, stx, sty, sox, soy,
-                state.net_costs, new_cost, delta,
-            )
-        else:
-            pair_region = region[survivors][pair_mv]
-            if pool is not None and survivors.size >= 2:
-                groups = [
-                    np.flatnonzero(pair_region == r)
-                    for r in np.unique(pair_region)
-                ]
-                list(
-                    pool.map(
-                        lambda idx: self._eval_pairs(
-                            geometry, state, pair_mv, pair_net,
-                            sb, ss, stx, sty, sox, soy, new_cost, idx,
-                        ),
-                        groups,
-                    )
-                )
-            else:
-                self._eval_pairs(
-                    geometry, state, pair_mv, pair_net,
-                    sb, ss, stx, sty, sox, soy, new_cost, None,
-                )
-            pair_delta = new_cost - state.net_costs[pair_net]
-            delta = np.bincount(
-                pair_mv, weights=pair_delta, minlength=survivors.size
-            ).astype(np.int64)
+        new_cost = self._eval_pairs(
+            geometry, state, pair_mv, pair_net, sb, ss, stx, sty, sox, soy
+        )
+        delta = np.bincount(
+            pair_mv,
+            weights=new_cost - state.net_costs[pair_net],
+            minlength=survivors.size,
+        ).astype(np.int64)
         delta_seconds = time.perf_counter() - t_delta
 
         # ------------------------------------------------------------ metropolis
@@ -914,29 +881,18 @@ class ParallelAnnealingPlacer:
     @staticmethod
     def _eval_pairs(
         geometry: _NetGeometry,
-        state: _ReplicaState,
-        pair_mv: np.ndarray,
-        pair_net: np.ndarray,
+        state: _AnnealState,
+        mv: np.ndarray,
+        nets: np.ndarray,
         sb: np.ndarray,
         ss: np.ndarray,
         stx: np.ndarray,
         sty: np.ndarray,
         sox: np.ndarray,
         soy: np.ndarray,
-        out_new_cost: np.ndarray,
-        idx: np.ndarray | None,
-    ) -> None:
-        """HPWL of each pair's net with the pair's move applied.
-
-        ``idx`` selects a subset of pairs (one region's worth when worker
-        threads split the batch); results land in the shared output array
-        at their global positions, so the merged output is identical no
-        matter how the pairs were grouped.
-        """
-        if idx is None:
-            mv, nets = pair_mv, pair_net
-        else:
-            mv, nets = pair_mv[idx], pair_net[idx]
+    ) -> np.ndarray:
+        """HPWL of each pair's net (``nets``) with the pair's move (the
+        ``mv`` index into the survivor arrays) applied."""
         mem = geometry.members_pad[nets]
         mask = geometry.members_mask[nets]
         memc = geometry.members_clipped[nets]
@@ -957,11 +913,7 @@ class ParallelAnnealingPlacer:
         big = np.int64(1) << 30
         lo = np.where(mask, nxy, big).min(axis=2)
         hi = np.where(mask, nxy, -big).max(axis=2)
-        cost = (hi[0] - lo[0]) + (hi[1] - lo[1])
-        if idx is None:
-            out_new_cost[:] = cost
-        else:
-            out_new_cost[idx] = cost
+        return (hi[0] - lo[0]) + (hi[1] - lo[1])
 
     # ---------------------------------------------------------------- schedule
     @staticmethod
@@ -989,24 +941,20 @@ class ParallelAnnealingPlacer:
 
         Populates :attr:`last_stats` with the run's observability data.
         """
-        options = self.options
         fabric = fabric if fabric is not None else FabricGrid.for_netlist(netlist)
         geometry = _NetGeometry(netlist)
-        stats = PlacementStats(replicas=options.tempering)
+        stats = PlacementStats()
         self.last_stats = stats
 
-        n_replicas = options.tempering
-        children = np.random.SeedSequence(self.seed).spawn(n_replicas + 1)
-        states = [
-            _ReplicaState(geometry, fabric, np.random.default_rng(children[k]))
-            for k in range(n_replicas)
-        ]
-        swap_rng = np.random.default_rng(children[n_replicas])
+        # child 0 of the seed sequence: the stream placements have always
+        # been drawn from, so a seed keeps its placement
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
+        state = _AnnealState(geometry, fabric, rng)
 
         placement = Placement(fabric)
         if geometry.n_nets == 0 or geometry.movable.size == 0:
-            self._export(geometry, states[0], placement)
-            stats.final_cost = states[0].total
+            self._export(geometry, state, placement)
+            stats.final_cost = state.total
             return placement
 
         region = RegionGrid.for_fabric(fabric.width, fabric.height)
@@ -1018,115 +966,70 @@ class ParallelAnnealingPlacer:
             dtype=np.int64,
         )
         # one temperature round spends the classic budget of
-        # moves_per_block * movable proposals, split into several batches
+        # _MOVES_PER_BLOCK * movable proposals, split into several batches
         # so later batches within a round see the earlier batches' moves.
         # Small netlists cool slower through the mid phase: each of their
         # batches yields only a handful of conflict-free moves, so they
-        # need more rounds per temperature.  The choice depends only on
-        # the netlist, never on jobs.
+        # need more rounds per temperature.
         batches_per_round = 4
         mid_cooling = 0.96 if geometry.movable.size < 64 else 0.95
         batch = max(
             16,
-            -(-options.moves_per_block * int(geometry.movable.size)
-              // batches_per_round),
+            -(-_MOVES_PER_BLOCK * int(geometry.movable.size) // batches_per_round),
         )
         max_dim = max(fabric.width, fabric.height)
-        use_jit = options.jit_enabled()
-        if use_jit:
-            from .kernels import HAVE_NUMBA
 
-            use_jit = HAVE_NUMBA  # soft-fail to the numpy path
+        base = max(1.0, state.total / max(geometry.n_nets, 1))
+        temperature = base / max(self.initial_acceptance, 1e-6)
+        rlim = float(max_dim)
+        zero_rounds = 0
+        for _ in range(self._MAX_ROUNDS):
+            evaluated = accepted = nonzero = 0
+            for _ in range(batches_per_round):
+                ev, acc, nz, dt, _ = self._batch(
+                    geometry, state, fabric, region_of_site,
+                    temperature, max(1, int(round(rlim))), batch,
+                )
+                evaluated += ev
+                accepted += acc
+                nonzero += nz
+                stats.place_delta_seconds += dt
 
-        jobs = options.effective_jobs()
-        pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-        try:
-            base = max(1.0, states[0].total / max(geometry.n_nets, 1))
-            t0 = base / max(self.initial_acceptance, 1e-6)
-            # replica 0 is the coldest rung; higher rungs run hotter
-            temps = [t0 * (2.0**k) for k in range(n_replicas)]
-            rlims = [float(max_dim)] * n_replicas
-            zero_rounds = 0
+            proposed = batch * batches_per_round
+            stats.temperatures.append((temperature, proposed, accepted))
+            stats.moves_proposed += proposed
+            stats.moves_accepted += accepted
 
-            for round_index in range(self._MAX_ROUNDS):
-                def run_one(k: int) -> tuple[int, int, int, float]:
-                    evaluated = accepted = nonzero = 0
-                    delta_seconds = 0.0
-                    for _ in range(batches_per_round):
-                        ev, acc, nz, dt, _ = self._batch(
-                            geometry, states[k], fabric, region_of_site,
-                            temps[k], max(1, int(round(rlims[k]))), batch,
-                            pool if n_replicas == 1 else None, use_jit,
-                        )
-                        evaluated += ev
-                        accepted += acc
-                        nonzero += nz
-                        delta_seconds += dt
-                    return evaluated, accepted, nonzero, delta_seconds
+            # acceptance over the *evaluated* independent survivors:
+            # conflict-losers never reached the Metropolis test and must
+            # not read as rejections to the schedule
+            alpha = accepted / max(evaluated, 1)
+            temperature = self._cool(temperature, alpha, mid_cooling)
+            rlim = min(float(max_dim), max(1.0, rlim * (0.56 + alpha)))
 
-                if pool is not None and n_replicas > 1:
-                    results = list(pool.map(run_one, range(n_replicas)))
-                else:
-                    results = [run_one(k) for k in range(n_replicas)]
+            # a round whose accepted moves were all zero-delta shuffles
+            # cannot have improved the cost: after a few of those in a
+            # row the anneal is frozen, whatever the temperature says
+            zero_rounds = zero_rounds + 1 if nonzero == 0 else 0
+            if (
+                state.total == 0
+                or zero_rounds >= self._FROZEN_ROUNDS
+                or temperature
+                < self._EXIT_FACTOR * max(state.total, 1) / max(geometry.n_nets, 1)
+            ):
+                break
 
-                proposed = batch * batches_per_round * n_replicas
-                accepted = sum(r[1] for r in results)
-                nonzero = sum(r[2] for r in results)
-                stats.temperatures.append((temps[0], proposed, accepted))
-                stats.moves_proposed += proposed
-                stats.moves_accepted += accepted
-                stats.place_delta_seconds += sum(r[3] for r in results)
+        self._refine(geometry, state, fabric, stats)
 
-                for k in range(n_replicas):
-                    # acceptance over the *evaluated* independent survivors:
-                    # conflict-losers never reached the Metropolis test and
-                    # must not read as rejections to the schedule
-                    alpha = results[k][1] / max(results[k][0], 1)
-                    temps[k] = self._cool(temps[k], alpha, mid_cooling)
-                    rlims[k] = min(
-                        float(max_dim), max(1.0, rlims[k] * (0.56 + alpha))
-                    )
-
-                if n_replicas > 1:
-                    # deterministic replica-exchange sweep over alternating
-                    # adjacent pairs; the swap rng stream never depends on
-                    # the jobs count
-                    for k in range(round_index % 2, n_replicas - 1, 2):
-                        d = (states[k].total - states[k + 1].total) * (
-                            1.0 / temps[k] - 1.0 / temps[k + 1]
-                        )
-                        r = swap_rng.random()
-                        if d >= 0 or r < math.exp(max(d, -700.0)):
-                            states[k], states[k + 1] = states[k + 1], states[k]
-
-                # a round whose accepted moves were all zero-delta shuffles
-                # cannot have improved the cost: after a few of those in a
-                # row the anneal is frozen, whatever the temperature says
-                zero_rounds = zero_rounds + 1 if nonzero == 0 else 0
-                cold = min(state.total for state in states)
-                if (
-                    cold == 0
-                    or zero_rounds >= self._FROZEN_ROUNDS
-                    or temps[0]
-                    < self._EXIT_FACTOR * max(cold, 1) / max(geometry.n_nets, 1)
-                ):
-                    break
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-
-        best = min(range(n_replicas), key=lambda k: (states[k].total, k))
-        self._refine(geometry, states[best], fabric, stats)
-
-        stats.final_cost = states[best].total
-        self._export(geometry, states[best], placement)
+        stats.final_cost = state.total
+        self._export(geometry, state, placement)
         return placement
 
     # ------------------------------------------------------------- refinement
     def _refine(
         self,
         geometry: _NetGeometry,
-        state: _ReplicaState,
+        state: _AnnealState,
         fabric: FabricGrid,
         stats: PlacementStats,
         radius: int = 2,
@@ -1137,7 +1040,7 @@ class ParallelAnnealingPlacer:
         Serial and rng-free: blocks are visited in index order and each
         takes its best strictly-improving move (ties broken by lowest
         site id) within a ``radius`` window, so the polish is
-        deterministic and trivially independent of ``jobs``.  Deltas are
+        deterministic.  Deltas are
         exact — the state is committed between moves — which lets the
         quench escape the plateau the batched anneal's frozen phase
         leaves behind.
@@ -1192,10 +1095,8 @@ class ParallelAnnealingPlacer:
                 stats.moves_proposed += n_cand
                 if pair_net.size == 0:
                     continue
-                new_cost = np.empty(pair_net.size, dtype=np.int64)
-                self._eval_pairs(
-                    geometry, state, pair_mv, pair_net,
-                    sb, ss, stx, sty, sox, soy, new_cost, None,
+                new_cost = self._eval_pairs(
+                    geometry, state, pair_mv, pair_net, sb, ss, stx, sty, sox, soy
                 )
                 delta = np.bincount(
                     pair_mv,
@@ -1232,7 +1133,7 @@ class ParallelAnnealingPlacer:
 
     @staticmethod
     def _export(
-        geometry: _NetGeometry, state: _ReplicaState, placement: Placement
+        geometry: _NetGeometry, state: _AnnealState, placement: Placement
     ) -> None:
         for i, name in enumerate(geometry.block_names):
             placement.positions[name] = (int(state.xs[i]), int(state.ys[i]))

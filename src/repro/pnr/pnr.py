@@ -6,13 +6,12 @@ plays in the paper's toolchain: it consumes the function-block netlist
 emitted by the mapper and reports wirelength, channel occupancy and the
 communication critical path that feeds the performance model.
 
-The engine is selected by :class:`~repro.pnr.options.PnROptions`:
-``"parallel"`` (default) runs the batched region-parallel annealer and the
-window-confined domain router; ``"serial"`` keeps the classic single-move
-annealer and whole-netlist PathFinder loop as the reference engine the
-bench harness baselines against.  Either engine is deterministic for a
-fixed seed, and the parallel engine is bit-identical for any ``jobs``/
-``jit`` setting.
+The ``engine`` argument selects the algorithm: ``"parallel"`` (default)
+runs the batched region-parallel annealer and the window-confined domain
+router; ``"serial"`` keeps the classic single-move annealer and
+whole-netlist PathFinder loop as the reference engine the bench harness
+baselines against.  Both run on one thread and are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -23,14 +22,13 @@ from dataclasses import dataclass, field
 from ..arch.params import FPSAConfig
 from ..mapper.netlist import FunctionBlockNetlist
 from .fabric import FabricGrid
-from .options import PnROptions
 from .placement import (
     ParallelAnnealingPlacer,
     Placement,
     PlacementStats,
     SimulatedAnnealingPlacer,
 )
-from .routing import PathFinderRouter, RoutingResult
+from .routing import PathFinderRouter, RoutingResult, check_engine
 from .rrgraph import RoutingResourceGraph
 from .timing import TimingReport, analyze_timing
 
@@ -90,7 +88,7 @@ class PnRResult:
                 f"  placer: {stats.rounds} temperature rounds, "
                 f"{stats.moves_proposed} proposed / "
                 f"{stats.moves_accepted} accepted moves, "
-                f"{stats.replicas} replica(s), final cost {stats.final_cost}"
+                f"final cost {stats.final_cost}"
             )
             rows = list(enumerate(stats.temperatures))
             if len(rows) > max_temperature_rows:
@@ -135,21 +133,18 @@ class PlaceAndRoute:
         self,
         config: FPSAConfig | None = None,
         channel_width: int | None = None,
-        placer: SimulatedAnnealingPlacer | ParallelAnnealingPlacer | None = None,
         max_route_iterations: int = 30,
         seed: int = 0,
-        options: PnROptions | None = None,
+        engine: str = "parallel",
     ):
         self.config = config if config is not None else FPSAConfig()
         self.channel_width = channel_width
         self.max_route_iterations = max_route_iterations
-        self.options = options if options is not None else PnROptions()
-        if placer is not None:
-            self.placer = placer
-        elif self.options.engine == "serial":
+        self.engine = check_engine(engine)
+        if engine == "serial":
             self.placer = SimulatedAnnealingPlacer(seed=seed)
         else:
-            self.placer = ParallelAnnealingPlacer(options=self.options, seed=seed)
+            self.placer = ParallelAnnealingPlacer(seed=seed)
 
     def run(self, netlist: FunctionBlockNetlist) -> PnRResult:
         """Place and route ``netlist``; raises RoutingError when the fabric's
@@ -164,9 +159,7 @@ class PlaceAndRoute:
         graph.compiled()  # build the router's integer view inside this stage
         t2 = time.perf_counter()
         router = PathFinderRouter(
-            graph,
-            max_iterations=self.max_route_iterations,
-            options=self.options,
+            graph, max_iterations=self.max_route_iterations, engine=self.engine
         )
         routing = router.route(netlist, placement)
         t3 = time.perf_counter()

@@ -115,10 +115,6 @@ class CompileRequest:
     max_schedule_reuse: int | None = None
     pnr_channel_width: int | None = None
     pnr_seed: int = 0
-    #: worker threads for the parallel P&R engine (``None``/1 serial).  An
-    #: execution knob: results are bit-identical for any value, so it is
-    #: excluded from :meth:`fingerprint` (like ``tags``).
-    pnr_jobs: int | None = None
     seed: int | None = None
     #: multi-chip partitioned compilation: ``None`` (single chip, classic
     #: flow), an integer chip count, or ``"auto"`` for the smallest count
@@ -130,12 +126,12 @@ class CompileRequest:
     use_cache: bool = True
     #: run the IR verifiers between passes (see ``--verify`` /
     #: ``REPRO_VERIFY=1``).  An execution knob — it changes no artifact —
-    #: so it is excluded from :meth:`fingerprint` like ``pnr_jobs``.
+    #: so it is excluded from :meth:`fingerprint` like ``tags``.
     verify: bool = False
     #: consult the subgraph-level dedup store (:mod:`repro.core.dedup`)
     #: during synthesis and mapping.  Bit-identical to ``dedup=False`` by
     #: contract, so it is a pure execution knob excluded from
-    #: :meth:`fingerprint` like ``pnr_jobs`` and ``verify``.
+    #: :meth:`fingerprint` like ``verify``.
     dedup: bool = False
     #: serving deadline in seconds: the job layer publishes a typed
     #: ``deadline_exceeded`` error if no result lands in time.  A pure
@@ -203,15 +199,6 @@ class CompileRequest:
                 f"shard_jobs must be an integer >= 1, got {self.shard_jobs!r}",
                 details={"shard_jobs": repr(self.shard_jobs)},
             )
-        if self.pnr_jobs is not None and (
-            not isinstance(self.pnr_jobs, int)
-            or isinstance(self.pnr_jobs, bool)
-            or self.pnr_jobs < 1
-        ):
-            raise InvalidRequestError(
-                f"pnr_jobs must be an integer >= 1, got {self.pnr_jobs!r}",
-                details={"pnr_jobs": repr(self.pnr_jobs)},
-            )
         if not isinstance(self.verify, bool):
             raise InvalidRequestError(
                 f"verify must be a boolean, got {self.verify!r}",
@@ -257,10 +244,12 @@ class CompileRequest:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CompileRequest":
         _check_schema_version(data.get("schema_version", SCHEMA_VERSION), "CompileRequest")
-        _check_known_fields(data, cls, "CompileRequest")
-        if "model" not in data:
+        # ``pnr_jobs`` (P&R worker threads) was removed; stored responses
+        # and old clients still send it, and it never changed a result
+        kwargs = {k: v for k, v in data.items() if k != "pnr_jobs"}
+        _check_known_fields(kwargs, cls, "CompileRequest")
+        if "model" not in kwargs:
             raise InvalidRequestError("CompileRequest payload is missing 'model'")
-        kwargs = dict(data)
         if kwargs.get("passes") is not None:
             kwargs["passes"] = tuple(kwargs["passes"])
         kwargs.setdefault("schema_version", SCHEMA_VERSION)
@@ -276,8 +265,8 @@ class CompileRequest:
     def fingerprint(self) -> str:
         """Content-addressed identity of this request.
 
-        ``tags`` (caller metadata), the pure execution knobs ``pnr_jobs``,
-        ``verify`` and ``dedup`` (every value produces the bit-identical
+        ``tags`` (caller metadata), the pure execution knobs ``verify``
+        and ``dedup`` (every value produces the bit-identical
         artifact) and the serving knobs ``deadline_s`` / ``max_retries`` /
         ``fault_plan`` (they shape *whether and when* a result is served,
         never its bits) are excluded, so e.g. coalescing and the artifact
@@ -286,7 +275,6 @@ class CompileRequest:
         """
         data = self.to_dict()
         data.pop("tags")
-        data.pop("pnr_jobs")
         data.pop("verify")
         data.pop("dedup")
         data.pop("deadline_s")
@@ -306,7 +294,6 @@ class CompileRequest:
             "max_schedule_reuse": self.max_schedule_reuse,
             "pnr_channel_width": self.pnr_channel_width,
             "pnr_seed": self.pnr_seed,
-            "pnr_jobs": self.pnr_jobs,
             "seed": self.seed,
             "num_chips": self.num_chips,
             "shard_jobs": self.shard_jobs,

@@ -44,6 +44,21 @@ _INDEX_NAME = "index.json"
 _RUNS_DIR = "runs"
 
 
+def _content_address(data: dict[str, Any]) -> str:
+    """Hash of a response dict without its run-environment-dependent
+    timing fields (see :meth:`ArtifactStore.run_id_for`)."""
+    timings = data.get("timings")
+    if timings:
+        timings["passes"] = [
+            {k: v for k, v in entry.items() if k not in ("seconds", "cached")}
+            for entry in timings["passes"]
+        ]
+        for volatile in ("total_seconds", "cache_hits", "cache_misses"):
+            timings.pop(volatile, None)
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One index entry: the metadata of a persisted run."""
@@ -134,17 +149,7 @@ class ArtifactStore:
         minus everything run-environment-dependent (wall-clock timings and
         the stage-cache hit/miss state), so re-serving an identical request
         with an identical outcome maps to the same run id."""
-        data = response.to_dict()
-        timings = data.get("timings")
-        if timings:
-            timings["passes"] = [
-                {k: v for k, v in entry.items() if k not in ("seconds", "cached")}
-                for entry in timings["passes"]
-            ]
-            for volatile in ("total_seconds", "cache_hits", "cache_misses"):
-                timings.pop(volatile, None)
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return _content_address(response.to_dict())
 
     def save(self, response: CompileResponse, bitstream_json: str | None = None) -> str:
         """Persist one response (and optional bitstream); returns the run id."""
@@ -222,7 +227,10 @@ class ArtifactStore:
         payload = (self._run_dir(run_id) / "response.json").read_text(encoding="utf-8")
         response = CompileResponse.from_json(payload)
         if verification_enabled(verify):
-            expected = self.run_id_for(response)
+            # hash the stored dict, not the re-parsed response: a run saved
+            # before a request field was retired (``pnr_jobs``) still
+            # carries that field and must keep its own address
+            expected = _content_address(json.loads(payload))
             if expected != run_id:
                 raise VerificationError(
                     f"store: content-address: run {run_id!r} re-hashes to "

@@ -63,7 +63,7 @@ class TestEngineSpeedupGate:
 
 class TestReportCompatibility:
     def test_pre_engine_payload_parses(self):
-        # a report written before the parallel engine has no pnr_jobs /
+        # a report written before the parallel engine has no
         # engine-reference fields; it must load with None defaults
         old = {
             "model": "LeNet",
@@ -74,7 +74,6 @@ class TestReportCompatibility:
             "quality": {"total_wirelength": 90.0},
         }
         entry = BenchEntry.from_dict(old)
-        assert entry.pnr_jobs is None
         assert entry.serial_place_route_seconds is None
         assert entry.parallel_place_route_seconds is None
         assert entry.engine_speedup is None
@@ -85,13 +84,6 @@ class TestReportCompatibility:
         assert again.serial_place_route_seconds == 3.0
         assert again.parallel_place_route_seconds == 1.0
         assert again.engine_speedup == 3.0
-
-    def test_pnr_jobs_round_trips_through_report(self):
-        entry = BenchEntry(
-            model="M", duplication_degree=1, channel_width=16, seed=0, pnr_jobs=4
-        )
-        report = BenchReport.from_dict(BenchReport(entries=[entry]).to_dict())
-        assert report.entries[0].pnr_jobs == 4
 
 
 class TestEngineReferenceMeasurement:
@@ -112,5 +104,5 @@ class TestEngineReferenceMeasurement:
                 self.blocks = {f"b{i}": None for i in range(n)}
 
         assert _measure_engine_ratio(
-            [FakeNetlist(PNR_SPEEDUP_MIN_BLOCKS - 1)], 16, 0, None
+            [FakeNetlist(PNR_SPEEDUP_MIN_BLOCKS - 1)], 16, 0
         ) == (None, None)

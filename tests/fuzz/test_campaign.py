@@ -92,10 +92,11 @@ class TestCampaign:
         check = oracle_module.SpecCheck(spec=spec)
         for config, expected in (
             ("repeat", ("repeat",)),
-            ("pnr-jit", ("pnr",)),
+            ("pnr-repeat", ("pnr",)),
             ("shared-warm", ("shared",)),
             ("chips1-a", ("chips",)),
             ("auto-b", ("chips",)),
+            ("dedup-warm", ("dedup",)),
         ):
             check.findings = [
                 oracle_module.Finding(spec=spec, config=config, kind="determinism",

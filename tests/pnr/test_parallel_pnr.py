@@ -1,13 +1,10 @@
-"""Differential and property tests of the parallel P&R engine.
+"""Engine selection and property tests of the parallel P&R engine.
 
-The engine's contract is *bit-identity across execution knobs*: any
-``jobs`` value and either ``jit`` setting must produce the identical
-placement and routing for the same seed.  The differential tests pin that
-contract on real zoo netlists; the property tests pin the structural
-invariants it rests on — the region grid tiles the fabric disjointly, the
-batched annealer's merged move sequence replays serially to the same
-state, congestion domains never share routing-resource nodes, and the
-geometry-compiled RR graph equals the dict-built one node for node.
+The property tests pin the structural invariants the engine rests on —
+the region grid tiles the fabric disjointly, the batched annealer's
+merged move sequence replays serially to the same state, congestion
+domains never share routing-resource nodes, and the geometry-compiled RR
+graph equals the dict-built one node for node.
 """
 
 from __future__ import annotations
@@ -19,180 +16,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapper.mapper import SpatialTemporalMapper
+from repro.errors import InvalidRequestError
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
-from repro.models.zoo import build_model
-from repro.pnr import kernels
 from repro.pnr.fabric import FabricGrid
-from repro.pnr.options import PnROptions
 from repro.pnr.placement import (
     ParallelAnnealingPlacer,
     PlacementCostModel,
     RegionGrid,
+    _AnnealState,
     _NetGeometry,
-    _ReplicaState,
 )
 from repro.pnr.pnr import PlaceAndRoute
 from repro.pnr.routing import PathFinderRouter
 from repro.pnr.rrgraph import CompiledRRGraph, RoutingResourceGraph
-from repro.synthesizer.synthesizer import synthesize
-
-CHANNEL_WIDTH = 24
-SEED = 0
-
-#: the zoo slice of the differential tests: small enough to P&R several
-#: times per test run, large enough that LeNet-d2 exercises multi-domain
-#: routing and >1-region placement
-ZOO_CASES = [("MLP-500-100", 1), ("LeNet", 1), ("LeNet", 2)]
-
-
-@pytest.fixture(scope="module")
-def zoo_netlists():
-    """Function-block netlists of the differential zoo, built once."""
-    cache = {}
-    for model, degree in ZOO_CASES:
-        mapping = SpatialTemporalMapper().map(
-            synthesize(build_model(model)), duplication_degree=degree
-        )
-        cache[(model, degree)] = mapping.netlist
-    return cache
-
-
-def run_pnr(netlist, **options):
-    return PlaceAndRoute(
-        channel_width=CHANNEL_WIDTH, seed=SEED, options=PnROptions(**options)
-    ).run(netlist)
-
-
-def assert_identical(a, b):
-    """Bit-identity of two P&R results: placement, routed trees, timing."""
-    assert a.placement.positions == b.placement.positions
-    assert set(a.routing.nets) == set(b.routing.nets)
-    for name, net in a.routing.nets.items():
-        assert net.nodes == b.routing.nets[name].nodes
-        assert net.sink_paths == b.routing.nets[name].sink_paths
-    assert a.routing.nodes_expanded == b.routing.nodes_expanded
-    assert a.routing.iterations == b.routing.iterations
-    assert a.total_wirelength == b.total_wirelength
-    assert a.critical_path_ns == b.critical_path_ns
-
-
-@pytest.mark.parametrize("case", ZOO_CASES, ids=lambda c: f"{c[0]}-d{c[1]}")
-class TestJobsInvariance:
-    def test_jobs_bit_identical(self, case, zoo_netlists, monkeypatch):
-        """jobs=4 (threaded batch evaluation and domain routing) must be
-        bit-identical to jobs=1.  ``cpu_count`` is pinned so the clamp in
-        ``effective_jobs`` cannot silently serialize the threaded path on
-        small CI machines."""
-        netlist = zoo_netlists[case]
-        serial = run_pnr(netlist, jobs=1)
-        monkeypatch.setattr("repro.pnr.options.os.cpu_count", lambda: 4)
-        threaded = run_pnr(netlist, jobs=4)
-        assert_identical(serial, threaded)
-
-    def test_jit_path_bit_identical(self, case, zoo_netlists, monkeypatch):
-        """The kernel code path (numba-compiled where available, plain
-        Python otherwise) must match the native numpy/heapq path.  Forcing
-        ``HAVE_NUMBA`` exercises the kernel branch even without numba —
-        the kernels are written to run unjitted."""
-        netlist = zoo_netlists[case]
-        native = run_pnr(netlist, jit=False)
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-        jitted = run_pnr(netlist, jit=True)
-        assert_identical(native, jitted)
 
 
 class TestEngineSelection:
-    def test_jit_env_flag_parsing(self, monkeypatch):
-        for value, expected in (
-            ("", False), ("0", False), ("off", False), ("no", False),
-            ("1", True), ("true", True), ("anything", True),
-        ):
-            monkeypatch.setenv("REPRO_PNR_JIT", value)
-            assert PnROptions().jit_enabled() is expected
-
-    def test_effective_jobs_clamps_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("repro.pnr.options.os.cpu_count", lambda: 2)
-        assert PnROptions(jobs=16).effective_jobs() == 2
-        assert PnROptions(jobs=1).effective_jobs() == 1
-        assert PnROptions().effective_jobs() == 1
-
     def test_serial_engine_uses_classic_placer(self):
         from repro.pnr.placement import SimulatedAnnealingPlacer
 
-        flow = PlaceAndRoute(options=PnROptions(engine="serial"))
+        flow = PlaceAndRoute(engine="serial")
         assert isinstance(flow.placer, SimulatedAnnealingPlacer)
-        flow = PlaceAndRoute(options=PnROptions())
+        flow = PlaceAndRoute()
         assert isinstance(flow.placer, ParallelAnnealingPlacer)
 
     def test_invalid_options_rejected(self):
-        with pytest.raises(ValueError):
-            PnROptions(jobs=0)
-        with pytest.raises(ValueError):
-            PnROptions(engine="turbo")
-
-
-class TestJobsInvarianceOfKeys:
-    """``pnr_jobs`` is a pure execution knob: same artifacts, same cache
-    keys, same request fingerprints for any value."""
-
-    def test_compile_artifacts_jobs_invariant(self):
-        from repro.core.compiler import FPSACompiler
-
-        graph = build_model("MLP-500-100")
-        results = [
-            FPSACompiler(cache=False).compile(
-                graph, run_pnr=True, pnr_channel_width=16, seed=SEED,
-                pnr_jobs=jobs,
-            )
-            for jobs in (None, 1, 4)
-        ]
-        first = results[0].pnr
-        for other in results[1:]:
-            assert other.pnr.placement.positions == first.placement.positions
-            assert other.pnr.total_wirelength == first.total_wirelength
-            assert other.pnr.critical_path_ns == first.critical_path_ns
-
-    def test_pnr_cache_key_jobs_invariant(self):
-        from repro.core.compiler import FPSACompiler
-        from repro.core.pipeline import CompileContext, CompileOptions
-        from repro.pnr.passes import PnRPass
-
-        compiler = FPSACompiler(cache=False)
-        graph = build_model("MLP-500-100")
-        front = compiler.compile(graph, passes=("synthesis", "mapping"))
-
-        def key(jobs):
-            ctx = CompileContext(
-                graph=graph,
-                config=compiler.config,
-                options=CompileOptions(run_pnr=True, seed=SEED, pnr_jobs=jobs),
-                synthesis_options=compiler.synthesis_options,
-            )
-            ctx.mapping = front.mapping
-            return PnRPass().cache_key(ctx)
-
-        assert key(None) == key(1) == key(8)
-
-    def test_request_fingerprint_jobs_invariant(self):
-        from repro.service import CompileRequest
-
-        base = CompileRequest(model="LeNet", run_pnr=True, seed=SEED)
-        for jobs in (1, 4, 32):
-            assert (
-                CompileRequest(
-                    model="LeNet", run_pnr=True, seed=SEED, pnr_jobs=jobs
-                ).fingerprint()
-                == base.fingerprint()
-            )
-
-    def test_request_pnr_jobs_validated(self):
-        from repro.errors import InvalidRequestError
-        from repro.service import CompileRequest
-
-        for bad in (0, -2, True, "four"):
-            with pytest.raises(InvalidRequestError):
-                CompileRequest(model="LeNet", pnr_jobs=bad)
+        with pytest.raises(InvalidRequestError):
+            PlaceAndRoute(engine="turbo")
+        with pytest.raises(InvalidRequestError):
+            PathFinderRouter(RoutingResourceGraph(FabricGrid(2, 2)), engine="turbo")
 
 
 class TestRegionGridProperties:
@@ -260,7 +112,7 @@ class TestMergedMovesReplaySerially:
         netlist = random_netlist(random.Random(seed), n_blocks, n_nets, max_fanout)
         fabric = FabricGrid.for_netlist(netlist)
         geometry = _NetGeometry(netlist)
-        state = _ReplicaState(geometry, fabric, np.random.default_rng(seed))
+        state = _AnnealState(geometry, fabric, np.random.default_rng(seed))
 
         model = PlacementCostModel(
             netlist,
@@ -282,8 +134,7 @@ class TestMergedMovesReplaySerially:
         for _ in range(n_batches):
             *_, moves = placer._batch(
                 geometry, state, fabric, region_of_site,
-                temperature, rlim, batch=32, pool=None, use_jit=False,
-                collect_moves=True,
+                temperature, rlim, batch=32, collect_moves=True,
             )
             for block, tx, ty, swap in moves:
                 model.propose(
@@ -374,4 +225,3 @@ class TestCompiledGraphEquivalence:
         assert geometric.base_cost == dict_built.base_cost
         assert geometric.x == dict_built.x
         assert geometric.y == dict_built.y
-        assert np.array_equal(geometric.indptr, dict_built.indptr)

@@ -1,12 +1,15 @@
 """Tests of the versioned request/response wire schemas."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench import BenchReport
 from repro.errors import CapacityError, InvalidRequestError, UnknownModelError
 from repro.service import (
     SCHEMA_VERSION,
+    ArtifactStore,
     CompileRequest,
     CompileResponse,
     CompileTimings,
@@ -14,6 +17,9 @@ from repro.service import (
     ResultSummary,
     serve_request,
 )
+from repro.service.store import _content_address
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestCompileRequest:
@@ -100,6 +106,33 @@ class TestCompileRequest:
         assert b.compile_kwargs()["dedup"] is True
         with pytest.raises(InvalidRequestError):
             CompileRequest(model="LeNet", dedup="yes")
+
+
+class TestLegacyPnrJobsPayload:
+    def test_payloads_with_removed_pnr_jobs_still_load(self, tmp_path):
+        # responses stored before P&R worker threads were removed carry
+        # ``"pnr_jobs"`` in their request section
+        response = serve_request(CompileRequest(model="LeNet")).response
+        legacy = response.to_dict()
+        legacy["request"]["pnr_jobs"] = 4
+        assert CompileResponse.from_dict(legacy) == response
+
+        run_id = _content_address(json.loads(json.dumps(legacy)))
+        run_dir = ArtifactStore(tmp_path).runs_root / run_id
+        run_dir.mkdir(parents=True)
+        (run_dir / "response.json").write_text(json.dumps(legacy), encoding="utf-8")
+        assert ArtifactStore(tmp_path).load(run_id, verify=True) == response
+
+        assert (
+            CompileRequest.from_dict(legacy["request"]).fingerprint()
+            == response.request.fingerprint()
+        )
+
+        report = BenchReport.load(str(REPO_ROOT / "BENCH_pnr.json"))
+        assert report.entries
+
+        with pytest.raises(InvalidRequestError):
+            CompileRequest.from_dict({**legacy["request"], "pnr_threads": 4})
 
 
 class TestServeAndRoundTrip:
